@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/adversary"
@@ -108,8 +107,9 @@ func buildTopology(family string, n int, param, param2 float64, seed int64) (top
 	})
 }
 
-// GossipConfig configures RunGossip. Zero values default to: EARS, the
-// standard oblivious adversary, d = δ = 1, no failures.
+// GossipConfig configures a gossip run (see GossipSpec). Zero values
+// default to: EARS, the standard oblivious adversary, d = δ = 1, no
+// failures.
 type GossipConfig struct {
 	// Protocol is one of the Proto* constants.
 	Protocol string
@@ -196,20 +196,6 @@ type GossipResult struct {
 	OutOfRangeDrops int64
 }
 
-// RunGossip simulates one gossip execution.
-//
-// Deprecated: use Run with a GossipSpec — Run(ctx, GossipSpec(cfg)) — which
-// is bit-identical and adds sharded execution, telemetry and lean-memory
-// options. This wrapper delegates to Run.
-func RunGossip(cfg GossipConfig) (*GossipResult, error) {
-	r, err := Run(context.Background(), GossipSpec(cfg))
-	var out *GossipResult
-	if r != nil {
-		out = r.Gossip
-	}
-	return out, err
-}
-
 func gossipProtoByName(name string) (core.Protocol, error) {
 	if p, err := core.ByName(name); err == nil {
 		return p, nil
@@ -220,8 +206,9 @@ func gossipProtoByName(name string) (core.Protocol, error) {
 	return nil, fmt.Errorf("repro: unknown gossip protocol %q", name)
 }
 
-// ConsensusConfig configures RunConsensus. Zero values default to: the
-// tears transport, standard adversary, d = δ = 1, random inputs.
+// ConsensusConfig configures a consensus run (see ConsensusSpec). Zero
+// values default to: the tears transport, standard adversary, d = δ = 1,
+// random inputs.
 type ConsensusConfig struct {
 	// Transport is one of the Transport* constants.
 	Transport string
@@ -294,21 +281,7 @@ type ConsensusResult struct {
 	OffEdgeDrops int64
 }
 
-// RunConsensus simulates one consensus execution.
-//
-// Deprecated: use Run with a ConsensusSpec — Run(ctx, ConsensusSpec(cfg)) —
-// which is bit-identical and adds sharded execution, telemetry and
-// lean-memory options. This wrapper delegates to Run.
-func RunConsensus(cfg ConsensusConfig) (*ConsensusResult, error) {
-	r, err := Run(context.Background(), ConsensusSpec(cfg))
-	var out *ConsensusResult
-	if r != nil {
-		out = r.Consensus
-	}
-	return out, err
-}
-
-// LowerBoundConfig configures RunLowerBound.
+// LowerBoundConfig configures a Theorem 1 run (see LowerBoundSpec).
 type LowerBoundConfig struct {
 	// Protocol is one of the asynchronous Proto* constants.
 	Protocol string
@@ -319,77 +292,6 @@ type LowerBoundConfig struct {
 	Seed int64
 	// Trials sets the adversary's Monte Carlo precision (default 32).
 	Trials int
-}
-
-// RunLowerBound runs the Theorem 1 adaptive adversary against a protocol
-// and reports which side of the Ω(n+f²) messages / Ω(f(d+δ)) time
-// dichotomy it forced.
-//
-// Deprecated: use Run with a LowerBoundSpec — Run(ctx, LowerBoundSpec(cfg))
-// — which is identical. This wrapper delegates to Run.
-func RunLowerBound(cfg LowerBoundConfig) (LowerBoundReport, error) {
-	r, err := Run(context.Background(), LowerBoundSpec(cfg))
-	if err != nil {
-		return LowerBoundReport{}, err
-	}
-	return *r.LowerBound, nil
-}
-
-// Batch configures the deprecated batch runners RunGossipMany and
-// RunConsensusMany. The zero value runs on GOMAXPROCS workers without
-// cancellation. New code passes a context and WithWorkers to RunMany
-// instead of bundling them in a struct.
-type Batch struct {
-	// Workers caps concurrency (0 = GOMAXPROCS, 1 = serial). Every run is
-	// seeded from its own config, so results are identical for any value.
-	Workers int
-	// Context, when non-nil, cancels the batch: runs that have not started
-	// when it fires report the context's error.
-	Context context.Context
-}
-
-// RunGossipMany simulates one gossip execution per config, fanned across
-// the batch's worker pool. results[i] and errs[i] correspond to cfgs[i]
-// and are exactly what RunGossip(cfgs[i]) would have returned — simulations
-// share no state, so parallel batches reproduce serial loops bit for bit.
-//
-// Deprecated: use RunMany — RunMany(ctx, specs, WithWorkers(w)) — which
-// accepts any spec kind and a first-class context. This wrapper delegates
-// to RunMany.
-func RunGossipMany(b Batch, cfgs []GossipConfig) (results []*GossipResult, errs []error) {
-	specs := make([]GossipSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		specs[i] = GossipSpec(cfg)
-	}
-	rs, errs := RunMany(b.Context, specs, WithWorkers(b.Workers))
-	results = make([]*GossipResult, len(rs))
-	for i, r := range rs {
-		if r != nil {
-			results[i] = r.Gossip
-		}
-	}
-	return results, errs
-}
-
-// RunConsensusMany simulates one consensus execution per config, fanned
-// across the batch's worker pool; results and errors are positional, as in
-// RunGossipMany.
-//
-// Deprecated: use RunMany — RunMany(ctx, specs, WithWorkers(w)). This
-// wrapper delegates to RunMany.
-func RunConsensusMany(b Batch, cfgs []ConsensusConfig) (results []*ConsensusResult, errs []error) {
-	specs := make([]ConsensusSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		specs[i] = ConsensusSpec(cfg)
-	}
-	rs, errs := RunMany(b.Context, specs, WithWorkers(b.Workers))
-	results = make([]*ConsensusResult, len(rs))
-	for i, r := range rs {
-		if r != nil {
-			results[i] = r.Consensus
-		}
-	}
-	return results, errs
 }
 
 // Scenario-fuzzing aliases: the deterministic simulation-fuzzing engine
@@ -408,48 +310,8 @@ type (
 	FuzzSummary = scenario.Summary
 )
 
-// FuzzOptions configures RunFuzz. The summary is a pure function of
-// (Seed, FirstIndex, Runs): Workers only changes wall-clock time.
-type FuzzOptions struct {
-	// Runs is the number of scenarios to generate and execute.
-	Runs int
-	// Seed keys the scenario stream.
-	Seed int64
-	// FirstIndex offsets into the stream (resume/partition sessions).
-	FirstIndex int64
-	// Workers caps concurrency (0 = GOMAXPROCS, 1 = serial).
-	Workers int
-	// ShrinkBudget bounds re-executions spent minimizing each failure
-	// (0 = the engine default).
-	ShrinkBudget int
-	// Context, when non-nil, cancels the session; scenarios that never
-	// started are counted in Summary.Skipped.
-	Context context.Context
-}
-
-// RunFuzz executes one deterministic scenario-fuzzing session: random
-// adversary/topology/protocol scenarios drawn from the seed, every
-// execution checked against the invariant-oracle catalog, and every
-// violation shrunk to a minimized, replayable ScenarioReport.
-//
-// Deprecated: use Run with a FuzzSpec — Run(ctx, FuzzSpec{...},
-// WithWorkers(w)) — which takes cancellation and concurrency first-class.
-// This wrapper delegates to Run.
-func RunFuzz(opts FuzzOptions) (*FuzzSummary, error) {
-	r, err := Run(opts.Context, FuzzSpec{
-		Runs:         opts.Runs,
-		Seed:         opts.Seed,
-		FirstIndex:   opts.FirstIndex,
-		ShrinkBudget: opts.ShrinkBudget,
-	}, WithWorkers(opts.Workers))
-	if err != nil {
-		return nil, err
-	}
-	return r.Fuzz, nil
-}
-
 // GenerateScenario derives the index-th scenario of a master seed's
-// stream — the same pure function RunFuzz iterates, exposed so callers
+// stream — the same pure function a FuzzSpec session iterates, exposed so callers
 // can inspect or re-execute individual scenarios.
 func GenerateScenario(seed, index int64) ScenarioSpec {
 	return scenario.Generate(seed, index)

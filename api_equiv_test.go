@@ -8,152 +8,35 @@ import (
 	"repro/internal/sim"
 )
 
-// The deprecated entry points are contractually thin wrappers over Run:
-// every test here pins that a wrapper call and its Run(...) translation
-// produce identical results AND identical event digests, so migrating a
-// caller is provably a no-op.
-
-func equivGossipConfigs() []GossipConfig {
-	return []GossipConfig{
+// TestWithShardsBitIdentical is the public-API face of the sharded kernel
+// contract: gossip and consensus runs are event-for-event identical at
+// every shard count, across protocol families, adversaries (including the
+// crash-heavy preset) and topologies.
+func TestWithShardsBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range []GossipSpec{
 		{Protocol: ProtoEARS, N: 24, F: 5, D: 3, Delta: 2, Seed: 7},
 		{Protocol: ProtoTEARS, N: 30, F: 3, D: 2, Delta: 2, Seed: 11, Adversary: AdversaryCrashStorm},
 		{Protocol: ProtoSEARS, N: 20, F: 2, D: 2, Delta: 1, Seed: 3, Topology: TopoRing},
 		{Protocol: ProtoSyncEpidemic, N: 16, F: 0, D: 1, Delta: 1, Seed: 5, Adversary: AdversaryBenign},
-	}
-}
-
-func TestRunGossipWrapperEquivalence(t *testing.T) {
-	for _, cfg := range equivGossipConfigs() {
-		oldDig, newDig := sim.NewDigestTracer(), sim.NewDigestTracer()
-
-		oldCfg := cfg
-		oldCfg.Tracer = oldDig
-		//lint:ignore SA1019 the deprecated wrapper is the subject under test
-		oldRes, oldErr := RunGossip(oldCfg)
-
-		newCfg := cfg
-		newCfg.Tracer = newDig
-		r, newErr := Run(context.Background(), GossipSpec(newCfg))
-
-		if (oldErr == nil) != (newErr == nil) {
-			t.Fatalf("%s: error divergence: %v vs %v", cfg.Protocol, oldErr, newErr)
-		}
-		if !reflect.DeepEqual(oldRes, r.Gossip) {
-			t.Fatalf("%s: results diverged:\n old %+v\n new %+v", cfg.Protocol, oldRes, r.Gossip)
-		}
-		if oldDig.Sum() != newDig.Sum() || oldDig.Events() != newDig.Events() {
-			t.Fatalf("%s: digests diverged: %016x/%d vs %016x/%d",
-				cfg.Protocol, oldDig.Sum(), oldDig.Events(), newDig.Sum(), newDig.Events())
-		}
-	}
-}
-
-func TestRunConsensusWrapperEquivalence(t *testing.T) {
-	cfgs := []ConsensusConfig{
-		{Transport: TransportTEARS, N: 21, F: 4, D: 2, Delta: 2, Seed: 9},
-		{Transport: TransportDirect, N: 15, F: 2, D: 1, Delta: 1, Seed: 2, LocalCoin: true},
-	}
-	for _, cfg := range cfgs {
-		//lint:ignore SA1019 the deprecated wrapper is the subject under test
-		oldRes, oldErr := RunConsensus(cfg)
-		r, newErr := Run(context.Background(), ConsensusSpec(cfg))
-		if (oldErr == nil) != (newErr == nil) {
-			t.Fatalf("%s: error divergence: %v vs %v", cfg.Transport, oldErr, newErr)
-		}
-		if !reflect.DeepEqual(oldRes, r.Consensus) {
-			t.Fatalf("%s: results diverged:\n old %+v\n new %+v", cfg.Transport, oldRes, r.Consensus)
-		}
-	}
-}
-
-func TestRunLowerBoundWrapperEquivalence(t *testing.T) {
-	cfg := LowerBoundConfig{Protocol: ProtoEARS, N: 24, F: 6, Seed: 4, Trials: 8}
-	//lint:ignore SA1019 the deprecated wrapper is the subject under test
-	oldRep, oldErr := RunLowerBound(cfg)
-	r, newErr := Run(context.Background(), LowerBoundSpec(cfg))
-	if oldErr != nil || newErr != nil {
-		t.Fatalf("errors: %v / %v", oldErr, newErr)
-	}
-	if !reflect.DeepEqual(oldRep, *r.LowerBound) {
-		t.Fatalf("reports diverged:\n old %+v\n new %+v", oldRep, *r.LowerBound)
-	}
-}
-
-func TestRunFuzzWrapperEquivalence(t *testing.T) {
-	//lint:ignore SA1019 the deprecated wrapper is the subject under test
-	oldSum, oldErr := RunFuzz(FuzzOptions{Runs: 40, Seed: 1, Workers: 2})
-	r, newErr := Run(context.Background(), FuzzSpec{Runs: 40, Seed: 1}, WithWorkers(2))
-	if oldErr != nil || newErr != nil {
-		t.Fatalf("errors: %v / %v", oldErr, newErr)
-	}
-	if !reflect.DeepEqual(oldSum, r.Fuzz) {
-		t.Fatalf("summaries diverged:\n old %+v\n new %+v", oldSum, r.Fuzz)
-	}
-}
-
-func TestRunManyWrapperEquivalence(t *testing.T) {
-	cfgs := equivGossipConfigs()
-	//lint:ignore SA1019 the deprecated wrapper is the subject under test
-	oldRes, oldErrs := RunGossipMany(Batch{Workers: 2}, cfgs)
-	specs := make([]GossipSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		specs[i] = GossipSpec(cfg)
-	}
-	newRes, newErrs := RunMany(context.Background(), specs, WithWorkers(2))
-	for i := range cfgs {
-		if (oldErrs[i] == nil) != (newErrs[i] == nil) {
-			t.Fatalf("item %d: error divergence: %v vs %v", i, oldErrs[i], newErrs[i])
-		}
-		if !reflect.DeepEqual(oldRes[i], newRes[i].Gossip) {
-			t.Fatalf("item %d: results diverged:\n old %+v\n new %+v", i, oldRes[i], newRes[i].Gossip)
-		}
-	}
-
-	ccfgs := []ConsensusConfig{
-		{Transport: TransportTEARS, N: 15, F: 3, D: 2, Delta: 1, Seed: 1},
-		{Transport: TransportEARS, N: 13, F: 2, D: 1, Delta: 1, Seed: 8},
-	}
-	//lint:ignore SA1019 the deprecated wrapper is the subject under test
-	oldC, oldCErrs := RunConsensusMany(Batch{Workers: 2}, ccfgs)
-	cspecs := make([]ConsensusSpec, len(ccfgs))
-	for i, cfg := range ccfgs {
-		cspecs[i] = ConsensusSpec(cfg)
-	}
-	newC, newCErrs := RunMany(context.Background(), cspecs, WithWorkers(2))
-	for i := range ccfgs {
-		if (oldCErrs[i] == nil) != (newCErrs[i] == nil) {
-			t.Fatalf("item %d: error divergence: %v vs %v", i, oldCErrs[i], newCErrs[i])
-		}
-		if !reflect.DeepEqual(oldC[i], newC[i].Consensus) {
-			t.Fatalf("item %d: results diverged:\n old %+v\n new %+v", i, oldC[i], newC[i].Consensus)
-		}
-	}
-}
-
-// TestWithShardsBitIdentical is the public-API face of the sharded kernel
-// contract: gossip and consensus runs are event-for-event identical at
-// every shard count, including under the crash-heavy preset.
-func TestWithShardsBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	for _, cfg := range equivGossipConfigs() {
+	} {
 		refDig := sim.NewDigestTracer()
-		spec := GossipSpec(cfg)
 		ref, err := Run(ctx, spec, WithTracer(refDig))
 		if err != nil {
-			t.Fatalf("%s serial: %v", cfg.Protocol, err)
+			t.Fatalf("%s serial: %v", spec.Protocol, err)
 		}
-		for _, shards := range []int{1, 2, 3, 7, cfg.N} {
+		for _, shards := range []int{1, 2, 3, 7, spec.N} {
 			dig := sim.NewDigestTracer()
 			got, err := Run(ctx, spec, WithTracer(dig), WithShards(shards))
 			if err != nil {
-				t.Fatalf("%s shards=%d: %v", cfg.Protocol, shards, err)
+				t.Fatalf("%s shards=%d: %v", spec.Protocol, shards, err)
 			}
 			if !reflect.DeepEqual(ref.Gossip, got.Gossip) {
 				t.Fatalf("%s shards=%d: results diverged:\n serial %+v\n sharded %+v",
-					cfg.Protocol, shards, ref.Gossip, got.Gossip)
+					spec.Protocol, shards, ref.Gossip, got.Gossip)
 			}
 			if dig.Sum() != refDig.Sum() || dig.Events() != refDig.Events() {
-				t.Fatalf("%s shards=%d: digest diverged", cfg.Protocol, shards)
+				t.Fatalf("%s shards=%d: digest diverged", spec.Protocol, shards)
 			}
 		}
 	}

@@ -1,15 +1,17 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestRunGossipDefaults(t *testing.T) {
-	res, err := RunGossip(GossipConfig{N: 32, Seed: 1})
+	r, err := Run(context.Background(), GossipSpec{N: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.Gossip
 	if !res.Completed {
 		t.Fatalf("%+v", res)
 	}
@@ -29,55 +31,52 @@ func TestRunGossipAllProtocols(t *testing.T) {
 		ProtoSyncEpidemic, ProtoSyncDeterministic,
 		ProtoPush, ProtoPull, ProtoPushPull, ProtoAverage,
 	} {
-		cfg := GossipConfig{Protocol: proto, N: 32, F: 8, D: 2, Delta: 2, Seed: 2}
+		spec := GossipSpec{Protocol: proto, N: 32, F: 8, D: 2, Delta: 2, Seed: 2}
 		switch proto {
 		case ProtoSyncEpidemic, ProtoSyncDeterministic:
-			cfg.D, cfg.Delta = 1, 1 // sync baselines assume d = δ = 1
+			spec.D, spec.Delta = 1, 1 // sync baselines assume d = δ = 1
 		case ProtoPush, ProtoPull, ProtoPushPull, ProtoAverage:
-			cfg.F = 0 // crashes are outside the O(1)-state families' promises
+			spec.F = 0 // crashes are outside the O(1)-state families' promises
 		}
-		res, err := RunGossip(cfg)
+		r, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		if !res.Completed {
+		if !r.Gossip.Completed {
 			t.Fatalf("%s: not completed", proto)
 		}
 	}
 }
 
 func TestRunGossipCrashReporting(t *testing.T) {
-	res, err := RunGossip(GossipConfig{
+	r, err := Run(context.Background(), GossipSpec{
 		Protocol: ProtoEARS, N: 24, F: 6, Adversary: AdversaryCrashStorm, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crashes != 6 || len(res.Crashed) != 6 {
+	if res := r.Gossip; res.Crashes != 6 || len(res.Crashed) != 6 {
 		t.Fatalf("crash accounting: %d / %v", res.Crashes, res.Crashed)
 	}
 }
 
 func TestRunGossipErrors(t *testing.T) {
-	if _, err := RunGossip(GossipConfig{Protocol: "nope", N: 8}); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if _, err := RunGossip(GossipConfig{N: 0}); err == nil {
-		t.Fatal("N=0 accepted")
-	}
-	if _, err := RunGossip(GossipConfig{N: 8, Adversary: "nope"}); err == nil {
-		t.Fatal("unknown adversary accepted")
+	for _, bad := range []GossipSpec{{Protocol: "nope", N: 8}, {N: 0}, {N: 8, Adversary: "nope"}} {
+		if _, err := Run(context.Background(), bad); err == nil {
+			t.Fatalf("bad spec %+v accepted", bad)
+		}
 	}
 }
 
 func TestRunConsensusAllTransports(t *testing.T) {
 	for _, tr := range []string{TransportDirect, TransportEARS, TransportSEARS, TransportTEARS} {
-		res, err := RunConsensus(ConsensusConfig{
+		r, err := Run(context.Background(), ConsensusSpec{
 			Transport: tr, N: 24, F: 11, D: 2, Delta: 2, Seed: 4,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
+		res := r.Consensus
 		if !res.Completed {
 			t.Fatalf("%s: not completed", tr)
 		}
@@ -92,26 +91,27 @@ func TestRunConsensusUnanimous(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = 1
 	}
-	res, err := RunConsensus(ConsensusConfig{N: 16, F: 7, Inputs: inputs, Seed: 5})
+	r, err := Run(context.Background(), ConsensusSpec{N: 16, F: 7, Inputs: inputs, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Decision != 1 {
-		t.Fatalf("decision %d on unanimous 1", res.Decision)
+	if r.Consensus.Decision != 1 {
+		t.Fatalf("decision %d on unanimous 1", r.Consensus.Decision)
 	}
 }
 
 func TestRunConsensusValidation(t *testing.T) {
-	if _, err := RunConsensus(ConsensusConfig{N: 8, F: 4}); err == nil {
+	if _, err := Run(context.Background(), ConsensusSpec{N: 8, F: 4}); err == nil {
 		t.Fatal("F = N/2 accepted")
 	}
 }
 
 func TestRunLowerBound(t *testing.T) {
-	rep, err := RunLowerBound(LowerBoundConfig{Protocol: ProtoEARS, N: 96, F: 24, Seed: 6, Trials: 4})
+	r, err := Run(context.Background(), LowerBoundSpec{Protocol: ProtoEARS, N: 96, F: 24, Seed: 6, Trials: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := r.LowerBound
 	if !rep.Satisfied() {
 		t.Fatalf("dichotomy not witnessed: %s", rep)
 	}
@@ -121,46 +121,48 @@ func TestRunLowerBound(t *testing.T) {
 }
 
 func TestDeterministicAcrossCalls(t *testing.T) {
-	a, err := RunGossip(GossipConfig{Protocol: ProtoTEARS, N: 64, F: 31, Seed: 7})
+	spec := GossipSpec{Protocol: ProtoTEARS, N: 64, F: 31, Seed: 7}
+	a, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGossip(GossipConfig{Protocol: ProtoTEARS, N: 64, F: 31, Seed: 7})
+	b, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Messages != b.Messages || a.TimeSteps != b.TimeSteps {
+	if a.Gossip.Messages != b.Gossip.Messages || a.Gossip.TimeSteps != b.Gossip.TimeSteps {
 		t.Fatal("same seed produced different runs")
 	}
 }
 
 func TestRunGossipTimeline(t *testing.T) {
-	res, err := RunGossip(GossipConfig{Protocol: ProtoTEARS, N: 10, F: 2, Seed: 3, Timeline: true})
+	ctx := context.Background()
+	r, err := Run(ctx, GossipSpec{Protocol: ProtoTEARS, N: 10, F: 2, Seed: 3, Timeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Timeline, "legend:") || !strings.Contains(res.Timeline, "p0") {
-		t.Fatalf("timeline missing:\n%s", res.Timeline)
+	if tl := r.Gossip.Timeline; !strings.Contains(tl, "legend:") || !strings.Contains(tl, "p0") {
+		t.Fatalf("timeline missing:\n%s", tl)
 	}
 	// Without the flag, no timeline is rendered.
-	res2, err := RunGossip(GossipConfig{Protocol: ProtoTEARS, N: 10, F: 2, Seed: 3})
+	r2, err := Run(ctx, GossipSpec{Protocol: ProtoTEARS, N: 10, F: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Timeline != "" {
+	if r2.Gossip.Timeline != "" {
 		t.Fatal("timeline rendered without being requested")
 	}
 }
 
 func TestRunGossipPartitionPreset(t *testing.T) {
-	res, err := RunGossip(GossipConfig{
+	r, err := Run(context.Background(), GossipSpec{
 		Protocol: ProtoEARS, N: 32, F: 0, D: 8, Delta: 2,
 		Adversary: "partition", Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed {
-		t.Fatalf("%+v", res)
+	if !r.Gossip.Completed {
+		t.Fatalf("%+v", r.Gossip)
 	}
 }

@@ -17,6 +17,7 @@ package repro
 // side-by-side tables against the paper's claims.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -44,27 +45,27 @@ func benchGossip(b *testing.B, proto string, n, f, d, delta int, adversary strin
 	b.Helper()
 	label := fmt.Sprintf("gossip/%s/n=%d/f=%d/d=%d/delta=%d/%s", proto, n, f, d, delta, adversary)
 	pool := icore.NewPool(n)
-	cfg := func(i int) GossipConfig {
-		c := GossipConfig{
+	spec := func(i int) GossipSpec {
+		c := GossipSpec{
 			Protocol: proto, N: n, F: f, D: d, Delta: delta,
 			Adversary: adversary, Seed: irunner.DeriveSeed(0, label, int64(i)),
 		}
 		c.Tuning.Pool = pool
 		return c
 	}
-	if _, err := RunGossip(cfg(0)); err != nil { // warm-up, untimed
+	if _, err := Run(context.Background(), spec(0)); err != nil { // warm-up, untimed
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var steps, msgs float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunGossip(cfg(i))
+		r, err := Run(context.Background(), spec(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		steps += float64(res.TimeSteps)
-		msgs += float64(res.Messages)
+		steps += float64(r.Gossip.TimeSteps)
+		msgs += float64(r.Gossip.Messages)
 	}
 	b.ReportMetric(steps/float64(b.N), "steps/run")
 	b.ReportMetric(msgs/float64(b.N), "msgs/run")
@@ -77,25 +78,25 @@ func benchGossip(b *testing.B, proto string, n, f, d, delta int, adversary strin
 func benchConsensus(b *testing.B, transport string, n, f, d, delta int) {
 	b.Helper()
 	label := fmt.Sprintf("consensus/%s/n=%d/f=%d/d=%d/delta=%d", transport, n, f, d, delta)
-	cfg := func(i int) ConsensusConfig {
-		return ConsensusConfig{
+	spec := func(i int) ConsensusSpec {
+		return ConsensusSpec{
 			Transport: transport, N: n, F: f, D: d, Delta: delta,
 			Seed: irunner.DeriveSeed(0, label, int64(i)),
 		}
 	}
-	if _, err := RunConsensus(cfg(0)); err != nil { // warm-up, untimed
+	if _, err := Run(context.Background(), spec(0)); err != nil { // warm-up, untimed
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var steps, msgs float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunConsensus(cfg(i))
+		r, err := Run(context.Background(), spec(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		steps += float64(res.TimeSteps)
-		msgs += float64(res.Messages)
+		steps += float64(r.Consensus.TimeSteps)
+		msgs += float64(r.Consensus.Messages)
 	}
 	b.ReportMetric(steps/float64(b.N), "steps/run")
 	b.ReportMetric(msgs/float64(b.N), "msgs/run")
@@ -210,12 +211,13 @@ func BenchmarkFigure1LowerBound(b *testing.B) {
 			witnessed := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := RunLowerBound(LowerBoundConfig{
+				r, err := Run(context.Background(), LowerBoundSpec{
 					Protocol: proto, N: 256, F: 64, Seed: int64(i), Trials: 8,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
+				rep := r.LowerBound
 				msgs += float64(rep.TotalMessages)
 				forced += float64(rep.ForcedTime)
 				if rep.Satisfied() {
@@ -314,17 +316,17 @@ func BenchmarkAblationEarsShutdown(b *testing.B) {
 			var steps, msgs float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := GossipConfig{
+				spec := GossipSpec{
 					Protocol: ProtoEARS, N: 128, F: 32, D: 2, Delta: 2,
 					Seed: irunner.DeriveSeed(0, fmt.Sprintf("ablation-shutdown/c=%v", c), int64(i)),
 				}
-				cfg.Tuning.ShutdownC = c
-				res, err := RunGossip(cfg)
+				spec.Tuning.ShutdownC = c
+				r, err := Run(context.Background(), spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				steps += float64(res.TimeSteps)
-				msgs += float64(res.Messages)
+				steps += float64(r.Gossip.TimeSteps)
+				msgs += float64(r.Gossip.Messages)
 			}
 			b.ReportMetric(steps/float64(b.N), "steps/run")
 			b.ReportMetric(msgs/float64(b.N), "msgs/run")
@@ -340,17 +342,17 @@ func BenchmarkAblationSearsEpsilon(b *testing.B) {
 			var steps, msgs float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := GossipConfig{
+				spec := GossipSpec{
 					Protocol: ProtoSEARS, N: 128, F: 32, D: 2, Delta: 2,
 					Seed: irunner.DeriveSeed(0, fmt.Sprintf("ablation-epsilon/eps=%v", eps), int64(i)),
 				}
-				cfg.Tuning.Epsilon = eps
-				res, err := RunGossip(cfg)
+				spec.Tuning.Epsilon = eps
+				r, err := Run(context.Background(), spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				steps += float64(res.TimeSteps)
-				msgs += float64(res.Messages)
+				steps += float64(r.Gossip.TimeSteps)
+				msgs += float64(r.Gossip.Messages)
 			}
 			b.ReportMetric(steps/float64(b.N), "steps/run")
 			b.ReportMetric(msgs/float64(b.N), "msgs/run")
@@ -376,7 +378,7 @@ func BenchmarkAblationCoin(b *testing.B) {
 			decided := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := RunConsensus(ConsensusConfig{
+				r, err := Run(context.Background(), ConsensusSpec{
 					Transport: TransportDirect, N: 32, F: 15, D: 2, Delta: 2,
 					Seed: int64(i), LocalCoin: local,
 					MaxSteps: 20000,
@@ -384,8 +386,8 @@ func BenchmarkAblationCoin(b *testing.B) {
 				switch {
 				case err == nil:
 					decided++
-					steps += float64(res.TimeSteps)
-					rounds += float64(res.MaxRounds)
+					steps += float64(r.Consensus.TimeSteps)
+					rounds += float64(r.Consensus.MaxRounds)
 				case errors.Is(err, isim.ErrTimeout):
 					// Ben-Or pathology; counted below.
 				default:
@@ -473,15 +475,15 @@ func BenchmarkBitComplexity(b *testing.B) {
 			var bytes, msgs float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := RunGossip(GossipConfig{
+				r, err := Run(context.Background(), GossipSpec{
 					Protocol: proto, N: 128, F: 32, D: 2, Delta: 2,
 					Adversary: AdversaryStandard, Seed: int64(i),
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				bytes += float64(res.Bytes)
-				msgs += float64(res.Messages)
+				bytes += float64(r.Gossip.Bytes)
+				msgs += float64(r.Gossip.Messages)
 			}
 			b.ReportMetric(bytes/float64(b.N), "bytes/run")
 			if msgs > 0 {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -19,8 +20,8 @@ func TestRunGossipDeterministic(t *testing.T) {
 		{Protocol: ProtoTEARS, N: 48, Seed: 11, Topology: TopoRandomRegular},
 	}
 	for _, cfg := range configs {
-		a, errA := RunGossip(cfg)
-		b, errB := RunGossip(cfg)
+		a, errA := Run(context.Background(), GossipSpec(cfg))
+		b, errB := Run(context.Background(), GossipSpec(cfg))
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("%s/%s: error mismatch: %v vs %v", cfg.Protocol, cfg.Topology, errA, errB)
 		}
@@ -31,7 +32,7 @@ func TestRunGossipDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunConsensusDeterministic: same for RunConsensus.
+// TestRunConsensusDeterministic: the same for consensus runs.
 func TestRunConsensusDeterministic(t *testing.T) {
 	configs := []ConsensusConfig{
 		{Transport: TransportTEARS, N: 32, F: 7, Seed: 13},
@@ -39,8 +40,8 @@ func TestRunConsensusDeterministic(t *testing.T) {
 		{Transport: TransportEARS, N: 32, F: 7, Seed: 13, Topology: TopoErdosRenyi},
 	}
 	for _, cfg := range configs {
-		a, errA := RunConsensus(cfg)
-		b, errB := RunConsensus(cfg)
+		a, errA := Run(context.Background(), ConsensusSpec(cfg))
+		b, errB := Run(context.Background(), ConsensusSpec(cfg))
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("CR-%s/%s: error mismatch: %v vs %v", cfg.Transport, cfg.Topology, errA, errB)
 		}

@@ -80,11 +80,6 @@
 // is bit-identical to serial. DeriveSeed exposes its seed policy for
 // callers building their own sweeps.
 //
-// The pre-Run entry points (RunGossip, RunConsensus, RunLowerBound,
-// RunFuzz, RunGossipMany, RunConsensusMany) remain as deprecated thin
-// wrappers with zero behavior change; the API-equivalence test suite pins
-// each wrapper bit-identical to its Run translation.
-//
 // Every run accepts a communication topology (GossipConfig.Topology,
 // ConsensusConfig.Topology, the Topo* constants): the default is the
 // paper's complete graph — reproducing the original model and its results
@@ -158,11 +153,10 @@
 // # Live cluster
 //
 // The protocols are genuine asynchronous message-passing algorithms, so
-// beyond the simulator they run in two live shapes sharing the same
-// sim.Node code: internal/live (one goroutine per process, channels as
-// links, credit-counting termination) and internal/cluster — a real
-// networked deployment where every node owns a loopback TCP listener and
-// protocol payloads travel as versioned binary envelopes. cmd/cluster
+// beyond the simulator they run live on the same sim.Node code in
+// internal/cluster — a real networked deployment where every node owns a
+// loopback TCP listener and protocol payloads travel as versioned binary
+// envelopes. cmd/cluster
 // replays a scenario spec (a bare spec, a fuzz corpus entry, or a fuzz
 // report) over such a cluster, one OS process per node by default or
 // -inproc for CI; nodes join a registry control plane, discover peers
@@ -174,7 +168,7 @@
 // schema-versioned repro.bench.live/v1 artifact with real
 // delivery-latency percentiles; -metrics serves each node's telemetry as
 // an OpenMetrics scrape endpoint. See docs/ARCHITECTURE.md for how the
-// three execution shapes relate.
+// simulator and the cluster relate.
 //
 // Deeper extension points (custom protocols, adversaries, tracers,
 // graphs) are exposed through type aliases into the internal packages;

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // runLive replays spec in-process with tight pacing and requires every
@@ -17,6 +19,12 @@ import (
 // TCP listeners on loopback, real goroutine nodes, the binary wire codec,
 // the registry control plane and the quiescence detector all in the loop.
 func runLive(t *testing.T, spec scenario.Spec) *cluster.Result {
+	t.Helper()
+	return runLiveWith(t, spec, nil)
+}
+
+// runLiveWith is runLive with a custom launcher (nil: the in-process one).
+func runLiveWith(t *testing.T, spec scenario.Spec, launch func(cluster.NodeConfig, chan<- error)) *cluster.Result {
 	t.Helper()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -27,6 +35,7 @@ func runLive(t *testing.T, spec scenario.Spec) *cluster.Result {
 		StepEvery: 200 * time.Microsecond,
 		Heartbeat: 10 * time.Millisecond,
 		Timeout:   45 * time.Second,
+		Launch:    launch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +85,145 @@ func TestLiveEARSWithCrashes(t *testing.T) {
 	}
 	if res.TotalSent == 0 || res.Latency.Count == 0 {
 		t.Errorf("empty run: sent=%d latency samples=%d", res.TotalSent, res.Latency.Count)
+	}
+}
+
+// crashedIDs lists the nodes that report a crash.
+func crashedIDs(res *cluster.Result) map[int]bool {
+	ids := map[int]bool{}
+	for _, rp := range res.Reports {
+		if rp.Crashed {
+			ids[rp.ID] = true
+		}
+	}
+	return ids
+}
+
+func TestLiveEARSGossip(t *testing.T) {
+	res := runLive(t, liveSpec(core.NameEARS, 24, 0))
+	if !res.Completed || res.TotalSent == 0 {
+		t.Errorf("completed=%v sent=%d", res.Completed, res.TotalSent)
+	}
+}
+
+// At n=24 with three crashes, exactly the planned nodes crash and EARS
+// still completes around them.
+func TestLiveEARSWithThreeCrashes(t *testing.T) {
+	res := runLive(t, liveSpec(core.NameEARS, 24, 3))
+	if got := crashedIDs(res); len(got) != 3 || !got[21] || !got[22] || !got[23] {
+		t.Errorf("crashed = %v, plan had 21, 22, 23", got)
+	}
+	if !res.Completed {
+		t.Error("run not marked completed")
+	}
+}
+
+// After an EARS run with a crash, every correct node holds every correct
+// node's rumor: the simulator's property, checked on the reported sets
+// under real asynchrony.
+func TestLiveRumorSetsConsistent(t *testing.T) {
+	const n = 20
+	res := runLive(t, liveSpec(core.NameEARS, n, 1))
+	crashed := crashedIDs(res)
+	for _, rp := range res.Reports {
+		if crashed[rp.ID] {
+			continue
+		}
+		if !rp.HasRumors {
+			t.Fatalf("node %d reported no rumor set", rp.ID)
+		}
+		held := map[int]bool{}
+		for _, r := range rp.Rumors {
+			held[r] = true
+		}
+		for q := 0; q < n; q++ {
+			if !crashed[q] && !held[q] {
+				t.Errorf("node %d missing rumor %d", rp.ID, q)
+			}
+		}
+	}
+}
+
+// Every credit comes home when crashes hit a real protocol run: each send
+// is received or drained.
+func TestLiveCreditBalanceWithCrashes(t *testing.T) {
+	res := runLive(t, liveSpec(core.NameEARS, 16, 3))
+	if res.TotalSent == 0 || res.TotalSent != res.TotalReceived+res.TotalDrained {
+		t.Errorf("sent=%d received=%d drained=%d", res.TotalSent, res.TotalReceived, res.TotalDrained)
+	}
+	if v := verdictFor(t, res, cluster.LiveOracleCreditBalance); !v.OK {
+		t.Error(v.Detail)
+	}
+	if !res.Completed {
+		t.Error("run not marked completed")
+	}
+}
+
+// slowLink holds every delivery for 1–3 ms of wall clock before the
+// wrapped node sees it, adding long, uneven link delays that loopback
+// does not supply. It forwards the rumor state the oracles read.
+type slowLink struct {
+	sim.Node
+	core.RumorHolder
+	r    *rng.RNG
+	held []sim.Message // ReadyAt: release time
+	due  []sim.Message
+}
+
+func (s *slowLink) Step(now sim.Time, inbox []sim.Message, out *sim.Outbox) {
+	for _, m := range inbox {
+		m.ReadyAt = now + sim.Time(time.Millisecond) + sim.Time(s.r.Intn(int(2*time.Millisecond)))
+		s.held = append(s.held, m)
+	}
+	s.due = s.due[:0]
+	kept := s.held[:0]
+	for _, m := range s.held {
+		if m.ReadyAt <= now {
+			s.due = append(s.due, m)
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	s.held = kept
+	s.Node.Step(now, s.due, out)
+}
+
+func (s *slowLink) Quiescent() bool { return len(s.held) == 0 && s.Node.Quiescent() }
+
+func TestLiveSEARSUnderSlowLinks(t *testing.T) {
+	spec := liveSpec(core.NameSEARS, 24, 0)
+	nodes, err := core.NewNodes(core.SEARS{}, core.Params{N: spec.N, NoPool: true}, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := func(cfg cluster.NodeConfig, errs chan<- error) {
+		nd := nodes[cfg.ID]
+		slow := &slowLink{Node: nd, RumorHolder: nd.(core.RumorHolder), r: rng.New(int64(cfg.ID))}
+		go func() {
+			if _, err := cluster.RunNode(cfg, slow); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	if res := runLiveWith(t, spec, launch); !res.Completed {
+		t.Error("sears run did not complete under slow links")
+	}
+}
+
+// Trivial gossip sends to every peer exactly once, so the credit count
+// must close on exactly n·(n−1) messages.
+func TestLiveTrivialGossip(t *testing.T) {
+	const n = 16
+	res := runLive(t, liveSpec(core.NameTrivial, n, 0))
+	if res.TotalSent != n*(n-1) || res.TotalReceived != n*(n-1) {
+		t.Errorf("sent=%d received=%d, want %d each", res.TotalSent, res.TotalReceived, n*(n-1))
+	}
+}
+
+func TestLiveTEARSMajority(t *testing.T) {
+	res := runLive(t, liveSpec(core.NameTEARS, 24, 3))
+	if !res.Completed {
+		t.Error("tears run did not reach majority on every correct node")
 	}
 }
 

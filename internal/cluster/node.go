@@ -22,16 +22,15 @@ type NodeConfig struct {
 	N  int
 	// RegistryAddr is the control-plane address to join.
 	RegistryAddr string
-	// StepEvery is the mean pacing of local steps (jittered ±50% per node,
-	// exactly as internal/live paces goroutines). Default 1ms.
+	// StepEvery is the mean pacing of local steps (jittered ±50% per
+	// node). Default 1ms.
 	StepEvery time.Duration
 	// HeartbeatEvery paces control-plane heartbeats. Default 25ms.
 	HeartbeatEvery time.Duration
 	// CrashAfter halts the gossip plane this long after the shared run
 	// epoch (0 = never). A crashed node stops stepping and sending but
 	// keeps draining its inbox and heartbeating — the control plane stays
-	// alive so cluster-wide credit accounting remains exact, mirroring
-	// internal/live's drain discipline.
+	// alive so cluster-wide credit accounting remains exact.
 	CrashAfter time.Duration
 	// StartTimeout bounds join + peer discovery. Default 30s.
 	StartTimeout time.Duration
@@ -98,19 +97,26 @@ type NodeReport struct {
 // registry.
 type controlConn struct{ conn net.Conn }
 
+// controlDialTimeout bounds one dial attempt to the registry.
+const controlDialTimeout = time.Second
+
+// dialControl dials the registry, retrying with exponential backoff
+// (capped at controlDialTimeout) until timeout. No sleep runs past the
+// deadline, so it gives up within timeout plus one dial attempt.
 func dialControl(addr string, timeout time.Duration) (*controlConn, error) {
 	deadline := time.Now().Add(timeout)
 	backoff := 5 * time.Millisecond
 	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		conn, err := net.DialTimeout("tcp", addr, controlDialTimeout)
 		if err == nil {
 			return &controlConn{conn: conn}, nil
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return nil, fmt.Errorf("cluster: dial registry %s: %w", addr, err)
 		}
-		time.Sleep(backoff)
-		backoff *= 2
+		time.Sleep(min(backoff, left))
+		backoff = min(2*backoff, controlDialTimeout)
 	}
 }
 
@@ -139,11 +145,14 @@ func (c *controlConn) Close() { c.conn.Close() }
 // deregister — and returns the final report (which was also streamed to
 // the registry). nd must be an unpooled protocol node with ID cfg.ID;
 // cross-process payloads travel as core's wire codec, so pooled snapshots
-// must not be in play (use core.Params.NoPool, as internal/live does).
+// must not be in play (use core.Params.NoPool).
 func RunNode(cfg NodeConfig, nd sim.Node) (*NodeReport, error) {
 	cfg = cfg.withDefaults()
-	if nd == nil || int(nd.ID()) != cfg.ID {
-		return nil, fmt.Errorf("cluster: node reports ID %v, config says %d", nd, cfg.ID)
+	if nd == nil {
+		return nil, fmt.Errorf("cluster: nil node for ID %d", cfg.ID)
+	}
+	if int(nd.ID()) != cfg.ID {
+		return nil, fmt.Errorf("cluster: node reports ID %d, config says %d", nd.ID(), cfg.ID)
 	}
 	tr, err := NewTransport("127.0.0.1:0", 4*cfg.N+64)
 	if err != nil {
@@ -207,8 +216,7 @@ func RunNode(cfg NodeConfig, nd sim.Node) (*NodeReport, error) {
 		absorb(ack.Members)
 	}
 
-	// Gossip loop: jittered pacing exactly as internal/live paces its
-	// goroutines — each node steps at its own rhythm.
+	// Gossip loop: jittered pacing — each node steps at its own rhythm.
 	r := rng.New(cfg.Seed).Fork(0xC1A5).Fork(uint64(cfg.ID))
 	pace := cfg.StepEvery/2 + time.Duration(r.Intn(int(cfg.StepEvery)))
 	ticker := time.NewTicker(pace)

@@ -1,8 +1,8 @@
-// Package cluster promotes the single-process live runtime (internal/live)
-// into a real networked gossip cluster: every process owns a TCP listener,
-// messages travel as length-prefixed versioned binary envelopes carrying
-// the simulator's own payload snapshots, and a registry provides join/
-// leave, heartbeat health and peer discovery. The point is not a new
+// Package cluster runs the protocols as a real networked gossip cluster:
+// every process owns a TCP listener, messages travel as length-prefixed
+// versioned binary envelopes carrying the simulator's own payload
+// snapshots, and a registry provides join/leave, heartbeat health and
+// peer discovery. The point is not a new
 // protocol stack — the protocol nodes are exactly the sim.Node state
 // machines the simulator and the fuzzer execute — but a new adversary:
 // real network delay, OS scheduling and churn replace the declared

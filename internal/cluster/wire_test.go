@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -107,4 +108,60 @@ func TestGossipEnvelopeRoundTrip(t *testing.T) {
 	if _, err := cluster.AppendGossip(nil, sim.Message{Payload: struct{}{}}); err == nil {
 		t.Error("unencodable payload accepted")
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader and, for gossip
+// frames, to the envelope decoder — the two parsers in front of every
+// socket. Neither may panic, and both must be canonical: a frame that
+// reads re-writes to exactly the bytes consumed, and a gossip body that
+// decodes re-encodes to exactly the same body.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(kind byte, body []byte) []byte {
+		var buf bytes.Buffer
+		if err := cluster.WriteFrame(&buf, kind, body); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	set, informed := bitset.New(5), bitset.NewMatrix(5)
+	set.Add(1)
+	informed.Set(4, 2)
+	for _, pl := range []sim.Payload{core.NewWireGossipPayload(&core.Rumors{Set: set}, informed, true), core.AvgPayload{S: 2.5, W: 0.5}} {
+		body, err := cluster.AppendGossip(nil, sim.Message{From: 3, To: 11, SentAt: 1_234_567_890, Payload: pl})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame(cluster.KindGossip, body))
+	}
+	f.Add(frame(cluster.KindJoin, []byte(`{"id":3}`)))
+	f.Add(frame(cluster.KindLeaveOK, nil))
+	f.Add(frame(cluster.KindGossip, []byte("short")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		kind, body, err := cluster.ReadFrame(r)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := cluster.WriteFrame(&buf, kind, body); err != nil {
+			t.Fatalf("frame (%#x, %d bytes) read but does not re-write: %v", kind, len(body), err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("frame re-writes differently:\n in  %x\n out %x", consumed, buf.Bytes())
+		}
+		if kind != cluster.KindGossip {
+			return
+		}
+		m, err := cluster.DecodeGossip(body)
+		if err != nil {
+			return
+		}
+		enc, err := cluster.AppendGossip(nil, m)
+		if err != nil {
+			t.Fatalf("decoded %+v does not re-encode: %v", m, err)
+		}
+		if !bytes.Equal(enc, body) {
+			t.Fatalf("gossip body re-encodes differently:\n in  %x\n out %x", body, enc)
+		}
+	})
 }

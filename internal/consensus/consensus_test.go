@@ -12,7 +12,7 @@ import (
 // runConsensus executes one consensus run and returns the result.
 func runConsensus(t *testing.T, p Params, inputs []uint8, cfg sim.Config, preset string) sim.Result {
 	t.Helper()
-	res, err := tryRunConsensus(p, inputs, cfg, preset)
+	res, err := tryConsensusRun(p, inputs, cfg, preset)
 	if err != nil {
 		t.Fatalf("%s/%s (n=%d f=%d d=%d δ=%d seed=%d): %v",
 			p.Transport, preset, cfg.N, cfg.F, cfg.D, cfg.Delta, cfg.Seed, err)
@@ -20,7 +20,7 @@ func runConsensus(t *testing.T, p Params, inputs []uint8, cfg sim.Config, preset
 	return res
 }
 
-func tryRunConsensus(p Params, inputs []uint8, cfg sim.Config, preset string) (sim.Result, error) {
+func tryConsensusRun(p Params, inputs []uint8, cfg sim.Config, preset string) (sim.Result, error) {
 	p.N, p.F = cfg.N, cfg.F
 	nodes, err := NewNodes(p, inputs, cfg.Seed)
 	if err != nil {
@@ -213,8 +213,8 @@ func TestDeterministicReplayConsensus(t *testing.T) {
 	for _, kind := range TransportKinds() {
 		cfg := sim.Config{N: 24, F: 11, D: 2, Delta: 2, Seed: 3}
 		inputs := RandomInputs(24, 77)
-		r1, e1 := tryRunConsensus(Params{Transport: kind}, inputs, cfg, adversary.PresetStandard)
-		r2, e2 := tryRunConsensus(Params{Transport: kind}, inputs, cfg, adversary.PresetStandard)
+		r1, e1 := tryConsensusRun(Params{Transport: kind}, inputs, cfg, adversary.PresetStandard)
+		r2, e2 := tryConsensusRun(Params{Transport: kind}, inputs, cfg, adversary.PresetStandard)
 		if e1 != nil || e2 != nil {
 			t.Fatalf("%s: %v / %v", kind, e1, e2)
 		}
@@ -256,7 +256,7 @@ func TestQuickConsensusAlwaysCompletes(t *testing.T) {
 		preset := presets[int(aSel)%len(presets)]
 		cfg := sim.Config{N: n, F: f, D: sim.Time(d), Delta: sim.Time(delta), Seed: seed}
 		inputs := RandomInputs(n, seed+7)
-		res, err := tryRunConsensus(Params{Transport: kind}, inputs, cfg, preset)
+		res, err := tryConsensusRun(Params{Transport: kind}, inputs, cfg, preset)
 		if err != nil {
 			t.Logf("FAIL CR-%s/%s n=%d f=%d d=%d δ=%d seed=%d: %v",
 				kind, preset, n, f, d, delta, seed, err)

@@ -272,7 +272,7 @@ func TestTinyClusters(t *testing.T) {
 		for _, kind := range []TransportKind{TransportDirect, TransportEARS} {
 			cfg := sim.Config{N: tc.n, F: tc.f, D: 1, Delta: 1, Seed: 3}
 			inputs := RandomInputs(tc.n, 5)
-			res, err := tryRunConsensus(Params{Transport: kind}, inputs, cfg, adversary.PresetBenign)
+			res, err := tryConsensusRun(Params{Transport: kind}, inputs, cfg, adversary.PresetBenign)
 			if err != nil {
 				t.Fatalf("n=%d f=%d %s: %v", tc.n, tc.f, kind, err)
 			}
@@ -292,7 +292,7 @@ func TestSplitVoteEventuallyDecides(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = uint8(i % 2)
 		}
-		res, err := tryRunConsensus(Params{Transport: TransportDirect}, inputs, cfg, adversary.PresetStandard)
+		res, err := tryConsensusRun(Params{Transport: TransportDirect}, inputs, cfg, adversary.PresetStandard)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -11,7 +11,7 @@ import (
 // runGossip builds nodes, world and adversary for a protocol and runs it.
 func runGossip(t *testing.T, proto Protocol, p Params, cfg sim.Config, preset string) sim.Result {
 	t.Helper()
-	res, err := tryRunGossip(proto, p, cfg, preset)
+	res, err := tryGossipRun(proto, p, cfg, preset)
 	if err != nil {
 		t.Fatalf("%s under %s (n=%d f=%d d=%d δ=%d seed=%d): %v",
 			proto.Name(), preset, cfg.N, cfg.F, cfg.D, cfg.Delta, cfg.Seed, err)
@@ -19,7 +19,7 @@ func runGossip(t *testing.T, proto Protocol, p Params, cfg sim.Config, preset st
 	return res
 }
 
-func tryRunGossip(proto Protocol, p Params, cfg sim.Config, preset string) (sim.Result, error) {
+func tryGossipRun(proto Protocol, p Params, cfg sim.Config, preset string) (sim.Result, error) {
 	p.N, p.F = cfg.N, cfg.F
 	nodes, err := NewNodes(proto, p, cfg.Seed)
 	if err != nil {
@@ -255,8 +255,8 @@ func TestTEARSAudienceConcentration(t *testing.T) {
 func TestGossipDeterministicReplay(t *testing.T) {
 	for _, proto := range []Protocol{Trivial{}, EARS{}, SEARS{}, TEARS{}} {
 		cfg := sim.Config{N: 48, F: 12, D: 3, Delta: 2, Seed: 11}
-		r1, err1 := tryRunGossip(proto, Params{}, cfg, adversary.PresetStandard)
-		r2, err2 := tryRunGossip(proto, Params{}, cfg, adversary.PresetStandard)
+		r1, err1 := tryGossipRun(proto, Params{}, cfg, adversary.PresetStandard)
+		r2, err2 := tryGossipRun(proto, Params{}, cfg, adversary.PresetStandard)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", proto.Name(), err1, err2)
 		}

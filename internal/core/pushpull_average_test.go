@@ -195,11 +195,11 @@ func TestNewFamiliesPooledUnpooledIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := sim.Config{N: 40, F: 0, D: 3, Delta: 2, Seed: 21}
-		pooled, err := tryRunGossip(proto, Params{}, cfg, adversary.PresetStandard)
+		pooled, err := tryGossipRun(proto, Params{}, cfg, adversary.PresetStandard)
 		if err != nil {
 			t.Fatal(err)
 		}
-		unpooled, err := tryRunGossip(proto, Params{NoPool: true}, cfg, adversary.PresetStandard)
+		unpooled, err := tryGossipRun(proto, Params{NoPool: true}, cfg, adversary.PresetStandard)
 		if err != nil {
 			t.Fatal(err)
 		}

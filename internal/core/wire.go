@@ -40,6 +40,8 @@ const (
 	gpFlagRumors   = 1 << 1 // a rumor set follows
 	gpFlagVals     = 1 << 2 // the rumor set carries values
 	gpFlagInformed = 1 << 3 // an informed-list matrix follows
+
+	gpFlagsKnown = gpFlagTears | gpFlagRumors | gpFlagVals | gpFlagInformed
 )
 
 // AppendPayload appends the versioned binary encoding of pl to dst and
@@ -96,8 +98,11 @@ func AppendPayload(dst []byte, pl sim.Payload) ([]byte, error) {
 	}
 }
 
-// DecodePayload decodes one payload encoded by AppendPayload. The returned
-// payload is unpooled and fully owned by the caller.
+// DecodePayload decodes one payload encoded by AppendPayload. The encoding
+// is canonical: DecodePayload accepts exactly the bytes AppendPayload
+// produces (no unknown flags, no stray universe, zero bitmap padding), so
+// anything it accepts re-encodes to the same bytes. The returned payload
+// is unpooled and fully owned by the caller.
 func DecodePayload(src []byte) (sim.Payload, error) {
 	if len(src) < 2 {
 		return nil, fmt.Errorf("core: payload truncated (%d bytes)", len(src))
@@ -117,6 +122,14 @@ func DecodePayload(src []byte) (sim.Payload, error) {
 		if n < 0 || n > payloadMaxN {
 			return nil, fmt.Errorf("core: gossip payload universe %d out of range", n)
 		}
+		switch {
+		case flags&^gpFlagsKnown != 0:
+			return nil, fmt.Errorf("core: gossip payload has unknown flags %#x", flags&^gpFlagsKnown)
+		case flags&gpFlagVals != 0 && flags&gpFlagRumors == 0:
+			return nil, fmt.Errorf("core: gossip payload has values without rumors")
+		case n != 0 && flags&(gpFlagRumors|gpFlagInformed) == 0:
+			return nil, fmt.Errorf("core: gossip payload declares universe %d but carries no set", n)
+		}
 		body = body[5:]
 		pl := &GossipPayload{Flag: flags&gpFlagTears != 0}
 		if flags&gpFlagRumors != 0 {
@@ -130,7 +143,8 @@ func DecodePayload(src []byte) (sim.Payload, error) {
 				if len(body) < n {
 					return nil, fmt.Errorf("core: gossip payload values truncated")
 				}
-				pl.Rumors.Vals = append([]uint8(nil), body[:n]...)
+				// Non-nil even at n = 0, so the values flag survives a re-encode.
+				pl.Rumors.Vals = append(make([]uint8, 0, n), body[:n]...)
 				body = body[n:]
 			}
 		}
@@ -180,10 +194,19 @@ func appendSetBitmap(dst []byte, s *bitset.Set, n int) []byte {
 	return dst
 }
 
+// paddingSet reports whether a bitmap of n bits has a bit set past n in
+// its last byte; canonical encodings leave that padding zero.
+func paddingSet(bitmap []byte, n int) bool {
+	return n%8 != 0 && bitmap[len(bitmap)-1]>>(n%8) != 0
+}
+
 func decodeSetBitmap(src []byte, n int) (*bitset.Set, []byte, error) {
 	nb := (n + 7) / 8
 	if len(src) < nb {
 		return nil, nil, fmt.Errorf("core: rumor bitmap truncated (%d of %d bytes)", len(src), nb)
+	}
+	if paddingSet(src[:nb], n) {
+		return nil, nil, fmt.Errorf("core: rumor bitmap sets padding bits")
 	}
 	s := bitset.New(n)
 	for i := 0; i < n; i++ {
@@ -215,6 +238,11 @@ func decodeMatrixBitmap(src []byte, n int) (*bitset.Matrix, []byte, error) {
 	need := n * rowBytes
 	if len(src) < need {
 		return nil, nil, fmt.Errorf("core: informed matrix truncated (%d of %d bytes)", len(src), need)
+	}
+	for row := 0; row < n; row++ {
+		if paddingSet(src[row*rowBytes:(row+1)*rowBytes], n) {
+			return nil, nil, fmt.Errorf("core: informed matrix row %d sets padding bits", row)
+		}
 	}
 	m := bitset.NewMatrix(n)
 	for row := 0; row < n; row++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bitset"
@@ -98,6 +99,33 @@ func TestPayloadWireRejectsCorruption(t *testing.T) {
 	}
 }
 
+// Non-canonical encodings — bytes AppendPayload never produces — are
+// rejected, so every accepted encoding re-encodes to itself.
+func TestPayloadWireRejectsNonCanonical(t *testing.T) {
+	gossip := func(flags byte, n uint32, rest ...byte) []byte {
+		b := []byte{PayloadWireVersion, payloadKindGossip, flags, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
+		return append(b, rest...)
+	}
+	cases := map[string][]byte{
+		"unknown flag":           gossip(1<<4, 0),
+		"values without rumors":  gossip(gpFlagVals, 0),
+		"universe without a set": gossip(0, 12),
+		"rumor padding bit":      gossip(gpFlagRumors, 4, 1<<4),
+		"informed padding bit":   gossip(gpFlagInformed, 2, 0, 1<<2),
+	}
+	for name, enc := range cases {
+		if _, err := DecodePayload(enc); err == nil {
+			t.Errorf("%s: %x accepted", name, enc)
+		}
+	}
+	// The same shapes without the stray bits decode.
+	for _, enc := range [][]byte{gossip(gpFlagRumors, 4, 1<<3), gossip(gpFlagInformed, 2, 0, 1<<1)} {
+		if _, err := DecodePayload(enc); err != nil {
+			t.Errorf("%x: %v", enc, err)
+		}
+	}
+}
+
 func TestPayloadWireRejectsUnsupported(t *testing.T) {
 	if _, err := AppendPayload(nil, struct{ X int }{1}); err == nil {
 		t.Error("arbitrary payload type encoded")
@@ -129,4 +157,39 @@ func TestPayloadWireDecodeOwnsStorage(t *testing.T) {
 	if set.Test(5) || orig.Rumors.Vals[0] == 9 {
 		t.Error("decoded payload aliases encoder storage")
 	}
+}
+
+// FuzzDecodePayload feeds arbitrary bytes to the payload decoder, which
+// reads them straight off the network. It must never panic, and the
+// encoding must be canonical: anything that decodes re-encodes to exactly
+// the same bytes and decodes again to an equal payload.
+func FuzzDecodePayload(f *testing.F) {
+	for _, pl := range wirePayloads() {
+		enc, err := AppendPayload(nil, pl)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte{PayloadWireVersion, payloadKindGossip, gpFlagRumors, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{PayloadWireVersion, payloadKindPP, 9})
+	f.Add([]byte{PayloadWireVersion, payloadKindGossip, 0x30, 0, 0x0c, 0x30, 0x30})
+	f.Add([]byte{PayloadWireVersion, payloadKindGossip, gpFlagRumors | gpFlagVals | gpFlagInformed, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pl, err := DecodePayload(data)
+		if err != nil {
+			return
+		}
+		enc, err := AppendPayload(nil, pl)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-encode: %v", pl, err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("non-canonical encoding accepted:\n in  %x\n out %x", data, enc)
+		}
+		back, err := DecodePayload(enc)
+		if err != nil || !WirePayloadEquals(pl, back) {
+			t.Fatalf("re-encoding does not round-trip: %#v vs %#v (%v)", pl, back, err)
+		}
+	})
 }

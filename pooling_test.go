@@ -6,6 +6,7 @@ package repro
 // to an unpooled run, event for event, for every protocol and topology.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -117,24 +118,25 @@ func TestPooledKernelMatchesUnpooled(t *testing.T) {
 	}
 }
 
-// TestPooledRunsAPIEquivalence checks the public entry point: RunGossip
+// TestPooledRunsAPIEquivalence checks the public entry point: Run
 // with an explicit shared pool (as the benchmarks use), with the default
 // per-run pool, and with pooling disabled must all agree — including
 // across repeated reuse of one pool, which exercises recycled buffers.
 func TestPooledRunsAPIEquivalence(t *testing.T) {
+	ctx := context.Background()
 	for _, proto := range []string{ProtoEARS, ProtoTEARS, ProtoSyncEpidemic} {
 		pool := icore.NewPool(40)
 		for _, seed := range []int64{3, 9} {
 			base := GossipConfig{Protocol: proto, N: 40, F: 10, D: 2, Delta: 2, Seed: seed}
 
-			defaultPool, err := RunGossip(base)
+			defaultPool, err := Run(ctx, GossipSpec(base))
 			if err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}
 
 			noPool := base
 			noPool.Tuning.NoPool = true
-			unpooled, err := RunGossip(noPool)
+			unpooled, err := Run(ctx, GossipSpec(noPool))
 			if err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}
@@ -143,10 +145,10 @@ func TestPooledRunsAPIEquivalence(t *testing.T) {
 			shared.Tuning.Pool = pool
 			// Two sequential runs on the same pool: the second consumes
 			// recycled storage from the first.
-			if _, err := RunGossip(shared); err != nil {
+			if _, err := Run(ctx, GossipSpec(shared)); err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}
-			reused, err := RunGossip(shared)
+			reused, err := Run(ctx, GossipSpec(shared))
 			if err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}

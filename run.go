@@ -23,9 +23,8 @@ type Spec interface {
 }
 
 // GossipSpec describes one gossip execution for Run. It has exactly the
-// fields of GossipConfig (a plain conversion moves between them), so every
-// legacy configuration is a valid spec: Run(ctx, GossipSpec(cfg)) is the
-// modern spelling of RunGossip(cfg), bit for bit.
+// fields of GossipConfig, so a plain conversion moves between them:
+// Run(ctx, GossipSpec(cfg)) runs cfg.
 type GossipSpec GossipConfig
 
 func (GossipSpec) runSpec() {}
@@ -37,14 +36,19 @@ type ConsensusSpec ConsensusConfig
 
 func (ConsensusSpec) runSpec() {}
 
-// LowerBoundSpec runs the Theorem 1 adaptive adversary (see RunLowerBound).
+// LowerBoundSpec runs the Theorem 1 adaptive adversary against a protocol
+// and reports which side of the Ω(n+f²) messages / Ω(f(d+δ)) time
+// dichotomy it forced.
 type LowerBoundSpec LowerBoundConfig
 
 func (LowerBoundSpec) runSpec() {}
 
-// FuzzSpec runs a deterministic scenario-fuzzing session (see RunFuzz).
-// Cancellation and concurrency come from Run's context and WithWorkers
-// instead of option fields.
+// FuzzSpec runs a deterministic scenario-fuzzing session: random
+// adversary/topology/protocol scenarios drawn from the seed, every
+// execution checked against the invariant-oracle catalog, and every
+// violation shrunk to a minimized, replayable ScenarioReport. The summary
+// is a pure function of (Seed, FirstIndex, Runs); cancellation and
+// concurrency come from Run's context and WithWorkers.
 type FuzzSpec struct {
 	// Runs is the number of scenarios to generate and execute.
 	Runs int
@@ -146,9 +150,7 @@ type RunResult struct {
 }
 
 // Run executes one specification and returns its typed result. It is the
-// single entry point of the library: the legacy RunGossip, RunConsensus,
-// RunGossipMany, RunConsensusMany, RunLowerBound and RunFuzz are thin
-// deprecated wrappers over it and produce identical results.
+// single entry point of the library; RunMany fans it across a batch.
 //
 // The context cancels what is cancellable: a FuzzSpec session observes it
 // between scenarios, and an already-cancelled context aborts any run
@@ -170,16 +172,10 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*RunResult, error) {
 	switch s := spec.(type) {
 	case GossipSpec:
 		g, err := runGossipSpec(s, o)
-		if err != nil {
-			return &RunResult{Gossip: g}, err
-		}
-		return &RunResult{Gossip: g}, nil
+		return &RunResult{Gossip: g}, err
 	case ConsensusSpec:
 		c, err := runConsensusSpec(s, o)
-		if err != nil {
-			return &RunResult{Consensus: c}, err
-		}
-		return &RunResult{Consensus: c}, nil
+		return &RunResult{Consensus: c}, err
 	case LowerBoundSpec:
 		rep, err := runLowerBoundSpec(s)
 		if err != nil {
@@ -243,7 +239,7 @@ func RunMany[S Spec](ctx context.Context, specs []S, opts ...Option) (results []
 	return results, errs
 }
 
-// runGossipSpec is the gossip engine behind Run and RunGossip.
+// runGossipSpec is the gossip engine behind Run.
 func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	cfg := GossipConfig(spec).withDefaults()
 	proto, err := gossipProtoByName(cfg.Protocol)
@@ -336,7 +332,7 @@ func runGossipSpec(spec GossipSpec, o runOptions) (*GossipResult, error) {
 	return out, nil
 }
 
-// runConsensusSpec is the consensus engine behind Run and RunConsensus.
+// runConsensusSpec is the consensus engine behind Run.
 func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error) {
 	cfg := ConsensusConfig(spec).withDefaults()
 	p := consensus.Params{
@@ -410,7 +406,7 @@ func runConsensusSpec(spec ConsensusSpec, o runOptions) (*ConsensusResult, error
 	return out, nil
 }
 
-// runLowerBoundSpec is the Theorem 1 engine behind Run and RunLowerBound.
+// runLowerBoundSpec is the Theorem 1 engine behind Run.
 func runLowerBoundSpec(spec LowerBoundSpec) (LowerBoundReport, error) {
 	if spec.Protocol == "" {
 		spec.Protocol = ProtoEARS
